@@ -12,8 +12,8 @@
 //!    Cross-tenant: the acceptance gate (p99 within 5x of idle)
 //!    measures cache-hit reads racing absorbs, not rebuild cost.
 //! 3. **miss** — absorb into `warm` itself between reads, forcing a
-//!    generation miss + canonical replay per read: the worst case a
-//!    same-tenant reader can see, reported but not gated.
+//!    generation miss + rebuild from the merged catalog per read: the
+//!    worst case a same-tenant reader can see, reported but not gated.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -168,8 +168,8 @@ fn main() {
     }
 
     // Phase 3: same-tenant miss cost — each read pays a full
-    // generation rebuild (canonical replay) because a tap absorbs
-    // into the read tenant between reads.
+    // generation rebuild (materialized from the merged catalog) because
+    // a tap absorbs into the read tenant between reads.
     let miss_samples = 20.min(taps.len());
     let mut miss: Vec<u64> = taps[..miss_samples]
         .iter()
@@ -197,7 +197,7 @@ fn main() {
         up99 as f64 / ip99 as f64
     );
     println!(
-        "same_tenant_miss_us: p50 {}  max {} (full canonical replay per read; not gated)",
+        "same_tenant_miss_us: p50 {}  max {} (full rebuild from the merged catalog per read; not gated)",
         pct(&miss, 0.50),
         miss[miss.len() - 1]
     );

@@ -27,15 +27,19 @@
 //! `GET /report/{tenant}/{table}` serves all 11 analysis tables plus
 //! `classify` and `summary` from a response cache keyed by the tenant's
 //! **absorb generation**: every successful ingest bumps the generation,
-//! invalidating cached renders precisely. Reports are rebuilt by
-//! *canonical replay* — the merged snapshot is re-serialized through
-//! `write_catalog` (content-canonical bytes) and replayed through the
-//! identical `stream_catalog` → `analyze` → `render_analysis` path the
-//! batch CLI uses — so server reports are byte-identical to
-//! `wtr analyze --stream` over the same record set, at any tap count or
-//! arrival order within the watermark. Readers never block ingest: the
-//! tenant books lock is held only long enough to clone an `Arc` of the
-//! archive and the (small) open days; the heavy replay runs outside it.
+//! invalidating cached renders precisely. Reports are *materialized
+//! from the canonical merged catalog*: the snapshot is merged and
+//! canonicalized, then fed through `materialize_catalog` → `analyze` →
+//! `render_analysis`, the analysis and render code the batch CLI runs —
+//! no catalog bytes are written or re-read. Server reports are
+//! byte-identical to `wtr analyze --stream` over the same record set,
+//! at any tap count or arrival order within the watermark. That
+//! identity holds by test, not by construction; three guards check it:
+//! the oracle test in `tests/serve_equivalence.rs`, the CI
+//! `serve-smoke` job and the benchmark's output checks (see
+//! [`tenant`]). Readers never block ingest: the tenant books lock is
+//! held only long enough to clone an `Arc` of the archive and the
+//! (small) open days; the rebuild runs outside it.
 
 #![forbid(unsafe_code)]
 

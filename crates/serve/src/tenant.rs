@@ -11,30 +11,43 @@
 //! * **reports** — the rendered-table cache, keyed by the absorb
 //!   generation. Ingest never touches it; it invalidates itself by
 //!   comparing generations. The lock doubles as single-flight: when a
-//!   generation misses, exactly one reader replays the snapshot while
+//!   generation misses, exactly one reader rebuilds the snapshot while
 //!   the rest queue for the finished result.
 //!
-//! ## Canonical replay
+//! ## Materialized reports
 //!
 //! Reports are **not** rendered from live fold state. The snapshot is
-//! merged, canonicalized and re-serialized through
-//! [`wtr_probes::io::write_catalog`] — whose bytes depend only on row
-//! *content*, never intern order — then replayed through the identical
-//! [`wtr_core::stream::stream_catalog`] → `analyze` → `render_analysis`
-//! path the batch CLI walks. Same bytes in, same code, same bytes out:
-//! server reports are byte-identical to `wtr analyze --stream` over the
-//! same record set by construction, for any tap count or arrival order
-//! that keeps each catalog row within one upload (the row-partitioned
-//! tap contract; rows *split* across uploads still absorb, but f64
-//! mobility sums then regroup in arrival order).
+//! merged and canonicalized into one catalog, and every table is
+//! materialized from it directly:
+//! [`wtr_core::stream::materialize_catalog`] → `analyze` →
+//! `render_analysis` / `render_classify`, the analysis and render code
+//! the batch CLI runs after its scan. A rebuild writes and re-reads no
+//! catalog bytes. Per-upload APN intern order cannot leak into the
+//! output: `canonicalize` sorts the symbol table, and every analysis
+//! resolves APNs to strings. Server reports are byte-identical to
+//! `wtr analyze --stream` over the same record set, for any tap count or
+//! arrival order that keeps each catalog row within one upload (the
+//! row-partitioned tap contract; rows *split* across uploads still
+//! absorb, but f64 mobility sums then regroup in arrival order).
+//!
+//! That identity holds by test, not by construction. Three guards check
+//! it:
+//!
+//! * the oracle test in `tests/serve_equivalence.rs`, which compares
+//!   every table with the batch CLI's chain (serialize the rows, scan
+//!   them back, analyze, render), sealing and straggler paths included;
+//! * the CI `serve-smoke` job, which diffs HTTP bodies against the
+//!   batch CLI with and without day sealing;
+//! * the benchmark's output checks, which compare every GET body with
+//!   the batch render of the rows at the generation it names.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use wtr_core::report::{render_analysis, render_classify, ANALYSES};
-use wtr_core::stream::{analyze, stream_catalog};
+use wtr_core::stream::{analyze, materialize_catalog};
 use wtr_model::tacdb::TacDatabase;
 use wtr_probes::catalog::DevicesCatalog;
-use wtr_probes::io::{write_catalog, CatalogStream, IoError};
+use wtr_probes::io::{CatalogStream, IoError};
 use wtr_sim::stream::RecordStream;
 
 /// Every table the report endpoint serves: the 11 analysis tables plus
@@ -255,8 +268,13 @@ impl Tenant {
     /// rebuilding at most once per generation (single-flight under the
     /// cache lock; concurrent readers of a warm generation return the
     /// shared `Arc` immediately, and ingest never waits on this lock).
+    ///
+    /// A rebuild that panics poisons the cache lock but cannot leave a
+    /// half-built value behind: the cache is only ever assigned a
+    /// finished set. So the next reader recovers the guard and rebuilds
+    /// instead of panicking on that tenant for good.
     pub fn reports(&self) -> Result<Arc<ReportSet>, String> {
-        let mut cache = self.reports.lock().expect("reports poisoned");
+        let mut cache = self.reports.lock().unwrap_or_else(PoisonError::into_inner);
         // Warm path first: comparing generations costs one short books
         // lock, not a snapshot — cloning the open days on every cache
         // hit would put O(open rows) on the hot read path.
@@ -282,13 +300,10 @@ impl Tenant {
     }
 }
 
-/// Canonical replay: serialize the merged snapshot with
-/// [`write_catalog`] (content-canonical bytes) and run the batch
-/// pipeline over them, rendering every table once.
+/// Renders every table once from the merged, canonicalized snapshot:
+/// [`materialize_catalog`] → [`analyze`] → the batch CLI's renderers.
 fn build_reports(generation: u64, merged: &DevicesCatalog) -> Result<ReportSet, String> {
-    let mut bytes = Vec::new();
-    write_catalog(&mut bytes, merged).map_err(|e| format!("snapshot serialize: {e}"))?;
-    let data = stream_catalog(&bytes[..]).map_err(|e| format!("snapshot replay: {e}"))?;
+    let data = materialize_catalog(merged);
     let tacdb = TacDatabase::standard();
     let suite = analyze(&data.summaries, &data.apns, data.window_days, &tacdb);
     let mut tables: BTreeMap<&'static str, String> = BTreeMap::new();
@@ -325,6 +340,7 @@ mod tests {
     use wtr_model::ids::{Plmn, Tac};
     use wtr_model::roaming::RoamingLabel;
     use wtr_model::time::Day;
+    use wtr_probes::io::write_catalog;
 
     fn catalog_with_days(days: &[u32]) -> Vec<u8> {
         let mut cat = DevicesCatalog::new(22);
@@ -406,5 +422,26 @@ mod tests {
                 "table {table} rendered empty"
             );
         }
+    }
+
+    #[test]
+    fn panicked_rebuild_does_not_poison_reports() {
+        let tenant = Arc::new(Tenant::new("t", 5));
+        tenant.ingest(&catalog_with_days(&[0])).unwrap();
+        tenant.reports().unwrap();
+        tenant.ingest(&catalog_with_days(&[1])).unwrap();
+        // A reader that panics while holding the cache lock, as a
+        // panicking rebuild would.
+        let poisoner = Arc::clone(&tenant);
+        let outcome = std::thread::spawn(move || {
+            let _cache = poisoner.reports.lock().unwrap();
+            panic!("rebuild failed");
+        })
+        .join();
+        assert!(outcome.is_err());
+        assert!(tenant.reports.is_poisoned());
+        let set = tenant.reports().expect("a poisoned cache must recover");
+        assert_eq!(set.generation, tenant.generation());
+        assert!(set.tables["summary"].starts_with("rows: 2\n"));
     }
 }

@@ -11,8 +11,11 @@
 //!   absorb past the watermark, and reports still cover every row.
 //! * Hostile bodies (the decode-hardening shapes) bounce with the
 //!   scanner's line-numbered error and leave tenant state untouched.
+//! * Reports materialized from the merged catalog equal the old
+//!   serialize-and-rescan chain (the oracle), whatever the APN intern
+//!   order, watermark or `par` thread count.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -23,7 +26,8 @@ use where_things_roam::model::tacdb::TacDatabase;
 use where_things_roam::probes::catalog::DevicesCatalog;
 use where_things_roam::probes::io::write_catalog;
 use where_things_roam::scenarios::{MnoScenario, MnoScenarioConfig};
-use where_things_roam::serve::{Server, ServerConfig, TABLES};
+use where_things_roam::serve::{Server, ServerConfig, Tenant, TABLES};
+use where_things_roam::sim::par;
 
 /// Deterministic fixture: a simulated multi-day catalog with APNs,
 /// NB-IoT meters and enough devices to populate every report table.
@@ -49,6 +53,9 @@ fn catalog_bytes(catalog: &DevicesCatalog) -> Vec<u8> {
 
 /// The batch-side reference: what `wtr analyze --stream <table>` (and
 /// `wtr classify`) print over the fixture file, keyed like [`TABLES`].
+/// This serialize → `stream_catalog` → `analyze` → render chain is also
+/// the oracle for the server's rebuild, which materializes the same
+/// tables from the merged catalog without the byte round trip.
 fn batch_reference(catalog: &DevicesCatalog) -> BTreeMap<&'static str, String> {
     let data = stream_catalog(&catalog_bytes(catalog)[..]).unwrap();
     let tacdb = TacDatabase::standard();
@@ -288,6 +295,76 @@ fn watermark_zero_seals_days_and_absorbs_stragglers() {
         }
         assert_reports_match(addr, "t", &reference);
     });
+}
+
+/// The fixture plus row-partitioned taps of it whose APNs first appear
+/// in reverse-sorted order, so a tenant interns them opposite to
+/// canonical order. Real rows carry several APNs at once, so the fixture
+/// gains one marker row per APN: a copy of a row that carries it, on a
+/// fresh device, with that APN alone. Marker devices ascend as their
+/// APNs descend, and all markers travel in the first tap, so each row
+/// of that tap brings exactly one new APN, largest first. The fixture's
+/// own rows follow, dealt shuffled into `parts` taps.
+fn reverse_apn_fixture(parts: usize, seed: u64) -> (DevicesCatalog, Vec<Vec<u8>>) {
+    let mut catalog = fixture();
+    let table = catalog.apn_table();
+    let apns: BTreeSet<&str> = catalog
+        .iter()
+        .flat_map(|row| row.apns.iter().map(|&sym| table.resolve(sym)))
+        .collect();
+    assert!(apns.len() >= 3, "fixture needs several APNs");
+    let first_marker = catalog.iter().map(|row| row.user).max().unwrap() + 1;
+    let mut markers = DevicesCatalog::new(catalog.window_days());
+    for (i, apn) in apns.into_iter().rev().enumerate() {
+        let mut marker = catalog
+            .iter()
+            .find(|row| row.apns.iter().any(|&sym| table.resolve(sym) == apn))
+            .unwrap()
+            .clone();
+        marker.user = first_marker + i as u64;
+        marker.apns = BTreeSet::from([markers.intern_apn(apn)]);
+        markers.insert_entry(marker);
+    }
+    let mut taps = vec![catalog_bytes(&markers)];
+    taps.extend(partition(&catalog, parts, Some(seed)));
+    catalog.merge(markers);
+    (catalog, taps)
+}
+
+/// The rebuild materializes reports from the merged, canonicalized
+/// catalog. Every table must equal the oracle chain over the same rows
+/// with APNs interned opposite to canonical order, under watermark 0
+/// (sealing plus straggler absorbs), 1 day and never-seal, at 1 and 3
+/// `par` threads.
+#[test]
+fn materialized_reports_match_replay_oracle() {
+    let (catalog, taps) = reverse_apn_fixture(4, 0x5EED);
+    for threads in [1, 3] {
+        par::set_threads(Some(threads));
+        let oracle = batch_reference(&catalog);
+        for (watermark, watermark_days) in [("0", 0), ("1 day", 1), ("never", u32::MAX)] {
+            let tenant = Tenant::new("oracle", watermark_days);
+            let mut sealed = 0;
+            for tap in &taps {
+                sealed += tenant.ingest(tap).unwrap().sealed_days;
+            }
+            if watermark_days == u32::MAX {
+                assert_eq!(sealed, 0, "never-seal tenant sealed a day");
+            } else {
+                assert!(sealed > 0, "watermark {watermark} sealed nothing");
+            }
+            let set = tenant.reports().unwrap();
+            assert_eq!(set.generation, taps.len() as u64);
+            for table in TABLES {
+                assert_eq!(
+                    set.tables[table], oracle[table],
+                    "table {table} diverged from the oracle \
+                     (watermark {watermark}, {threads} threads)"
+                );
+            }
+        }
+    }
+    par::set_threads(None);
 }
 
 #[test]
