@@ -11,7 +11,7 @@ use wtr_core::stream::{materialize_catalog, stream_catalog, StreamedCatalog};
 use wtr_core::summary::DeviceSummary;
 use wtr_model::intern::ApnTable;
 use wtr_model::tacdb::TacDatabase;
-use wtr_probes::catalog::DevicesCatalog;
+use wtr_probes::catalog::{DevicesCatalog, MAX_WINDOW_DAYS};
 use wtr_probes::io as probe_io;
 use wtr_scenarios::{M2mScenario, M2mScenarioConfig, MnoScenario, MnoScenarioConfig, Universe};
 use wtr_sim::behavior::BehaviorMatrix;
@@ -131,6 +131,14 @@ pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
         gsma_transparency: args.flag("transparency"),
         record_loss_fraction: args.get_parsed("record-loss", 0.0f64)?,
     };
+    // Every catalog reader rejects a window past the cap, so refuse to
+    // spend a simulation on a catalog nothing could read back.
+    if config.days > MAX_WINDOW_DAYS {
+        return Err(format!(
+            "--days {} exceeds the maximum observation window of {MAX_WINDOW_DAYS} days",
+            config.days
+        ));
+    }
     eprintln!(
         "simulating {} devices over {} days (seed {})…",
         config.devices, config.days, config.seed

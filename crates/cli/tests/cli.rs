@@ -181,6 +181,27 @@ fn missing_required_options_fail_cleanly() {
 }
 
 #[test]
+fn simulate_mno_rejects_a_window_no_reader_accepts() {
+    let out_path = tmp("catalog-huge-window.jsonl");
+    let out = wtr(&[
+        "simulate-mno",
+        "--out",
+        out_path.to_str().unwrap(),
+        "--devices",
+        "10",
+        "--days",
+        "3661",
+    ]);
+    assert!(!out.status.success());
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--days 3661"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!out_path.exists(), "rejected before any output is written");
+}
+
+#[test]
 fn truth_export_and_validate_loop() {
     let catalog = tmp("catalog-validate.jsonl");
     let truth = tmp("truth-validate.jsonl");

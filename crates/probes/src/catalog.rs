@@ -238,6 +238,12 @@ impl CatalogEntry {
     }
 }
 
+/// Longest observation window, in days, any catalog reader accepts
+/// (ten years). Analyses allocate per-day state up front, so a header's
+/// declared window sizes memory before a single row is read; every
+/// header decoder rejects larger values as a bad header.
+pub const MAX_WINDOW_DAYS: u32 = 3_660;
+
 /// The devices-catalog: all (device, day) rows of the observation window.
 ///
 /// Rows live in a `BTreeMap` keyed by (user, day), so iteration order —

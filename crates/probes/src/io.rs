@@ -12,7 +12,7 @@
 //! * **catalog** — one [`CatalogEntry`] per line, preceded by a single
 //!   header line carrying the window length.
 
-use crate::catalog::{CatalogEntry, DevicesCatalog, MobilityAccum};
+use crate::catalog::{CatalogEntry, DevicesCatalog, MobilityAccum, MAX_WINDOW_DAYS};
 use crate::records::M2mTransaction;
 use crate::scan::{self, Scanner};
 use crate::wire;
@@ -371,6 +371,27 @@ pub fn write_catalog<W: Write>(mut out: W, catalog: &DevicesCatalog) -> Result<(
     Ok(())
 }
 
+/// Parses and validates a catalog JSONL header line: the format marker
+/// must match and the declared window may not exceed
+/// [`MAX_WINDOW_DAYS`].
+fn parse_header(line: &str) -> Result<CatalogHeader, IoError> {
+    let header: CatalogHeader =
+        serde_json::from_str(line).map_err(|e| IoError::BadHeader(e.to_string()))?;
+    if header.format != CATALOG_FORMAT {
+        return Err(IoError::BadHeader(format!(
+            "unknown format {:?}",
+            header.format
+        )));
+    }
+    if header.window_days > MAX_WINDOW_DAYS {
+        return Err(IoError::BadHeader(format!(
+            "window_days {} exceeds the maximum of {MAX_WINDOW_DAYS}",
+            header.window_days
+        )));
+    }
+    Ok(header)
+}
+
 /// Reads a devices-catalog written by [`write_catalog`]. APN strings are
 /// interned in row order (rows are parsed in parallel but installed in
 /// input order), so the rebuilt catalog — table included — is identical
@@ -399,14 +420,7 @@ fn read_catalog_impl<R: BufRead>(
     let header_line = lines
         .next()
         .ok_or_else(|| IoError::BadHeader("empty input".into()))?;
-    let header: CatalogHeader =
-        serde_json::from_str(header_line).map_err(|e| IoError::BadHeader(e.to_string()))?;
-    if header.format != CATALOG_FORMAT {
-        return Err(IoError::BadHeader(format!(
-            "unknown format {:?}",
-            header.format
-        )));
-    }
+    let header = parse_header(header_line)?;
     // Row lines start on physical line 2; slices borrow from `text`.
     let body = match text.find('\n') {
         Some(i) => &text[i + 1..],
@@ -554,14 +568,7 @@ impl<R: BufRead> CatalogStream<R> {
         if input.read_line(&mut header_line)? == 0 {
             return Err(IoError::BadHeader("empty input".into()));
         }
-        let header: CatalogHeader = serde_json::from_str(header_line.trim_end())
-            .map_err(|e| IoError::BadHeader(e.to_string()))?;
-        if header.format != CATALOG_FORMAT {
-            return Err(IoError::BadHeader(format!(
-                "unknown format {:?}",
-                header.format
-            )));
-        }
+        let header = parse_header(header_line.trim_end())?;
         let declared_rows = header.rows as u64;
         Ok(CatalogStream {
             backend: StreamBackend::Jsonl {

@@ -41,7 +41,7 @@ pub mod records;
 mod scan;
 pub mod wire;
 
-pub use catalog::{CatalogEntry, DevicesCatalog};
+pub use catalog::{CatalogEntry, DevicesCatalog, MAX_WINDOW_DAYS};
 pub use faults::LossySink;
 pub use m2m::M2mProbe;
 pub use mno::MnoProbe;

@@ -9,7 +9,7 @@
 //! visited_plmn:u32 | message:u8 | result:u8`.
 //! PLMNs use [`Plmn::packed`]; the decoder reverses the packing.
 
-use crate::catalog::{CatalogEntry, DevicesCatalog, MobilityAccum};
+use crate::catalog::{CatalogEntry, DevicesCatalog, MobilityAccum, MAX_WINDOW_DAYS};
 use crate::records::{M2mMessageType, M2mTransaction};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::BTreeSet;
@@ -527,7 +527,9 @@ pub struct CatalogFixed {
 /// declared row count must be consistent with the chunk count
 /// (`rows.div_ceil(CAT_CHUNK_ROWS) == chunks`, the encoder's invariant)
 /// — so a corrupt or mis-sniffed file is rejected here, before any
-/// reader loops on a hostile length field.
+/// reader loops on a hostile length field. A declared window longer
+/// than [`MAX_WINDOW_DAYS`] is rejected too, before it sizes any
+/// per-day state.
 pub fn decode_catalog_fixed(buf: &mut &[u8]) -> Result<CatalogFixed, ParseError> {
     let magic = take(buf, CAT_MAGIC.len(), "catalog header")?;
     if magic != CAT_MAGIC {
@@ -536,6 +538,12 @@ pub fn decode_catalog_fixed(buf: &mut &[u8]) -> Result<CatalogFixed, ParseError>
         });
     }
     let window_days = get_u32_le(buf, "window_days")?;
+    if window_days > MAX_WINDOW_DAYS {
+        return Err(ParseError::OutOfRange {
+            what: "window_days",
+            allowed: "at most 3660 days",
+        });
+    }
     let rows = u64::from_le_bytes(
         take(buf, 8, "row count")?
             .try_into()
@@ -900,6 +908,19 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(decode_catalog(&trailing).is_err());
+    }
+
+    #[test]
+    fn catalog_window_is_capped() {
+        let at_cap = encode_catalog(&DevicesCatalog::new(MAX_WINDOW_DAYS));
+        assert_eq!(
+            decode_catalog(&at_cap).unwrap().window_days(),
+            MAX_WINDOW_DAYS
+        );
+        let err = decode_catalog(&encode_catalog(&DevicesCatalog::new(MAX_WINDOW_DAYS + 1)))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains(&MAX_WINDOW_DAYS.to_string()), "{err}");
     }
 
     #[test]

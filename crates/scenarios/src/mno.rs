@@ -183,11 +183,11 @@ impl MnoScenario {
 
     /// Builds, simulates and collects the catalog.
     ///
-    /// The agent population is partitioned into `wtr_sim::par::threads()`
-    /// contiguous shards, each simulated on its own event loop (see
-    /// [`MnoScenario::run_sharded`]). Output is byte-identical at any
-    /// shard count, so the default simply follows the `WTR_THREADS` /
-    /// `par::set_threads` worker knob.
+    /// The agent population is dealt round-robin into
+    /// `wtr_sim::par::threads()` shards, each simulated on its own event
+    /// loop (see [`MnoScenario::run_sharded`]). Output is byte-identical
+    /// at any shard count, so the default simply follows the
+    /// `WTR_THREADS` / `par::set_threads` worker knob.
     pub fn run(&self) -> MnoScenarioOutput {
         self.run_sharded(shard::shard_count(None))
     }
@@ -206,10 +206,12 @@ impl MnoScenario {
         self.run_streaming_sharded(shard::shard_count(None))
     }
 
-    /// [`run`](MnoScenario::run) with an explicit shard count: the device
-    /// population splits into `shards` contiguous shards
-    /// ([`wtr_sim::par::split_ranges`]), each runs its own engine with a
-    /// shard-local probe behind a shard-local [`LossySink`], and the
+    /// [`run`](MnoScenario::run) with an explicit shard count: device `i`
+    /// runs in shard `i % shards` ([`wtr_sim::shard::run_sharded`]) — a
+    /// strided deal, because the population is built one vertical at a
+    /// time and contiguous ranges would hand one shard nearly every
+    /// smartphone. Each shard runs its own engine with a shard-local
+    /// probe behind a shard-local [`LossySink`], and the
     /// shard probes merge in shard order — a parallel tree reduction
     /// over `MnoProbe::absorb` (see [`merge_shard_probes`]) — followed
     /// by APN-symbol canonicalization. `shards == 1` *is* the serial

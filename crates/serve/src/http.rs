@@ -71,10 +71,14 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Req
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
 
+    // Each line read is capped at the head budget left plus one byte, so
+    // a newline-free flood is refused after at most `MAX_HEAD_BYTES` and
+    // one buffer fill, instead of being buffered whole first.
     let mut head_bytes = 0usize;
     let mut read_line = |reader: &mut BufReader<TcpStream>| -> Result<String, HttpError> {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
+        let budget = (MAX_HEAD_BYTES - head_bytes) as u64 + 1;
+        let mut line = Vec::new();
+        let n = reader.by_ref().take(budget).read_until(b'\n', &mut line)?;
         head_bytes += n;
         if head_bytes > MAX_HEAD_BYTES {
             return Err(bad(431, "request head too large"));
@@ -85,6 +89,8 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Req
                 "connection closed mid-request",
             )));
         }
+        let line =
+            String::from_utf8(line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         Ok(line.trim_end_matches(['\r', '\n']).to_owned())
     };
 
@@ -178,4 +184,38 @@ pub fn write_response(
     frame.extend_from_slice(body);
     stream.write_all(&frame)?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A request line with no newline in sight is refused with 431 once
+    /// it passes the head cap; the server never buffers the rest, so the
+    /// sender's `write_all` fails when the server hangs up instead of
+    /// completing.
+    #[test]
+    fn oversized_request_line_gets_431_without_being_read() {
+        const FLOOD: usize = 64 << 20;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let sender = std::thread::spawn(move || {
+            let mut client = TcpStream::connect(addr).unwrap();
+            let mut flood = b"GET /".to_vec();
+            flood.resize(FLOOD, b'a');
+            client.write_all(&flood)
+        });
+        let (mut server, _) = listener.accept().unwrap();
+        match read_request(&mut server, 1 << 20) {
+            Err(HttpError::Bad { status, .. }) => assert_eq!(status, 431),
+            other => panic!("expected 431, got {other:?}"),
+        }
+        let _ = write_response(&mut server, 431, &[], b"request head too large\n");
+        drop(server);
+        assert!(
+            sender.join().unwrap().is_err(),
+            "the server must hang up before reading the whole line"
+        );
+    }
 }

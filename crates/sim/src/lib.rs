@@ -34,7 +34,7 @@
 //! * [`device`] — the device agent tying it all together.
 //! * [`par`] — deterministic order-stable parallel map-reduce.
 //! * [`shard`] — sharded simulation: K independent per-shard event
-//!   loops over a contiguously partitioned agent population.
+//!   loops over an agent population dealt round-robin into shards.
 //! * [`stream`] — chunked record streams and mergeable chunk-fold
 //!   sinks: the bounded-memory single-pass pipeline core.
 

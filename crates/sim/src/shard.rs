@@ -4,8 +4,8 @@
 //! Devices are embarrassingly parallel by construction — agents can only
 //! self-schedule (the [`Scheduler`](crate::engine::Scheduler) exposes no
 //! cross-agent wake) and every device draws from its own RNG substream —
-//! so an agent population can be split into contiguous shards, each run
-//! to completion on its own [`Engine`], and the per-shard results merged
+//! so an agent population can be dealt out into shards, each run to
+//! completion on its own [`Engine`], and the per-shard results merged
 //! afterwards. The engine's shard-stable dispatch order
 //! `(time, agent, per-agent seq)` guarantees each agent's wake-ups are
 //! dispatched in the same relative order whether it runs in a shard of 1
@@ -14,9 +14,13 @@
 //! serial run exactly — the simulation-side twin of [`crate::par`]'s
 //! map-reduce determinism contract.
 //!
-//! Partitioning uses [`par::split_ranges`](crate::par::split_ranges):
-//! contiguous index ranges that are a pure function of `(agents, shards)`,
-//! so the shard an agent lands in never depends on thread scheduling.
+//! Partitioning is a strided deal: agent `i` goes to shard `i % K`. The
+//! assignment is a pure function of `(i, K)`, so the shard an agent lands
+//! in never depends on thread scheduling. Populations are built in blocks,
+//! one vertical at a time, so contiguous ranges would hand one shard
+//! nearly every smartphone (80% of the wake-ups of a 2-shard 2500-device
+//! run) while the other shard idles; the slowest shard sets the wall
+//! time. The round-robin deal gives every shard the same mix of verticals.
 
 use crate::engine::{Agent, Engine, EngineStats};
 use crate::par;
@@ -28,15 +32,15 @@ pub fn shard_count(requested: Option<usize>) -> usize {
     requested.map_or_else(par::threads, |k| k.max(1))
 }
 
-/// Runs `agents` partitioned into (at most) `shards` contiguous shards,
-/// each on its own scoped-thread event loop with a world built by
+/// Runs `agents` dealt round-robin into (at most) `shards` shards, each
+/// on its own scoped-thread event loop with a world built by
 /// `make_world(shard_index)`, and returns the per-shard
 /// `(world, stats)` results **in shard order**.
 ///
-/// The partition boundaries come from [`par::split_ranges`], so they are
-/// a pure function of `(agents.len(), shards)`. With `shards <= 1` (or a
-/// single-shard partition) the engine runs inline on the calling thread —
-/// the sharded path with K=1 is the serial path plus one closure call.
+/// Agent `i` runs in shard `i % K` with `K = min(shards, agents.len())`,
+/// and each shard keeps its agents in ascending global order. With
+/// `K <= 1` the engine runs inline on the calling thread — the sharded
+/// path with K=1 is the serial path plus one closure call.
 ///
 /// Determinism contract: each agent behaves identically regardless of
 /// which shard it lands in (self-scheduling only + per-agent RNG
@@ -54,26 +58,28 @@ where
     A: Agent<W> + Send,
     F: Fn(usize) -> W + Sync,
 {
-    let ranges = par::split_ranges(agents.len(), shards.max(1));
-    if ranges.len() <= 1 {
+    let n = agents.len();
+    let k = shards.min(n);
+    if k <= 1 {
         let mut engine = Engine::new(make_world(0), horizon);
         engine.add_agents(agents);
         return vec![engine.run_stats()];
     }
 
-    // Move each contiguous agent range into its own group, preserving
-    // global order (range i holds agents [ranges[i].start, ranges[i].end)).
-    let mut iter = agents.into_iter();
-    let groups: Vec<Vec<A>> = ranges
-        .iter()
-        .map(|r| iter.by_ref().take(r.len()).collect())
+    // Deal agent i to shard i % k: the population arrives in per-vertical
+    // blocks, and striding spreads every block evenly over the shards.
+    // Each group still holds its agents in ascending global order.
+    let mut groups: Vec<Vec<A>> = (0..k)
+        .map(|shard| Vec::with_capacity((n - shard).div_ceil(k)))
         .collect();
-    debug_assert!(iter.next().is_none());
+    for (i, agent) in agents.into_iter().enumerate() {
+        groups[i % k].push(agent);
+    }
 
     let make_world = &make_world;
-    let mut results: Vec<(W, EngineStats)> = Vec::with_capacity(groups.len());
+    let mut results: Vec<(W, EngineStats)> = Vec::with_capacity(k);
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(groups.len());
+        let mut handles = Vec::with_capacity(k);
         for (shard, group) in groups.into_iter().enumerate() {
             handles.push(scope.spawn(move || {
                 let mut engine = Engine::new(make_world(shard), horizon);
@@ -161,6 +167,36 @@ mod tests {
         assert_eq!(total.agents, 17);
         assert_eq!(total.dispatched, serial);
         assert_eq!(total.scheduled, total.dispatched);
+    }
+
+    /// Block-ordered population: the first half wakes every second, the
+    /// second half once a minute — the shape of a population built one
+    /// vertical at a time, busy smartphones first.
+    #[test]
+    fn strided_deal_balances_block_ordered_load() {
+        let horizon = SimTime::from_secs(600);
+        let agents = || {
+            (0..25u32)
+                .map(|i| Ticker {
+                    period: if i < 12 { 1 } else { 60 },
+                    tag: i,
+                })
+                .collect::<Vec<_>>()
+        };
+        for k in [2usize, 3, 4] {
+            let dispatched: Vec<u64> = run_sharded(horizon, k, agents(), |_| Log::new())
+                .iter()
+                .map(|(_, s)| s.dispatched)
+                .collect();
+            assert_eq!(dispatched.len(), k);
+            let mean = dispatched.iter().sum::<u64>() as f64 / k as f64;
+            for (shard, &d) in dispatched.iter().enumerate() {
+                assert!(
+                    (d as f64 - mean).abs() <= 0.10 * mean,
+                    "shards {k}: shard {shard} dispatched {d}, mean {mean:.0}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use where_things_roam::model::ids::{Mcc, Mnc, Plmn, Tac};
 use where_things_roam::model::rat::{RadioFlags, RatSet};
 use where_things_roam::model::roaming::RoamingLabel;
 use where_things_roam::model::time::{Day, SimTime};
-use where_things_roam::probes::catalog::{DevicesCatalog, MobilityAccum};
+use where_things_roam::probes::catalog::{DevicesCatalog, MobilityAccum, MAX_WINDOW_DAYS};
 use where_things_roam::probes::io::{self, IoError};
 use where_things_roam::probes::records::{M2mMessageType, M2mTransaction};
 use where_things_roam::probes::wire;
@@ -309,6 +309,49 @@ fn huge_chunk_byte_len_does_not_preallocate() {
         }
     };
     assert!(matches!(err, IoError::Io(_)), "got {err}");
+}
+
+/// A declared observation window beyond `MAX_WINDOW_DAYS` is a bad
+/// header in both formats and on every reader: analyses size per-day
+/// state from it, so a 4-billion-day window must never reach them.
+#[test]
+fn oversized_window_days_is_rejected_by_every_reader() {
+    let cat = build_catalog(&[(1, 0, 0, 10)]);
+    // Both encodings of `cat` with the header's window patched to `days`.
+    let with_window = |days: u32| {
+        let jsonl = String::from_utf8(jsonl_bytes(&cat)).unwrap().replacen(
+            "\"window_days\":5",
+            &format!("\"window_days\":{days}"),
+            1,
+        );
+        let mut wtrcat = wtrcat_bytes(&cat);
+        let at = wire::CAT_MAGIC.len();
+        wtrcat[at..at + 4].copy_from_slice(&days.to_le_bytes());
+        (jsonl.into_bytes(), wtrcat)
+    };
+    for days in [MAX_WINDOW_DAYS + 1, 4_000_000_000] {
+        let (jsonl, wtrcat) = with_window(days);
+        for (format, bytes) in [("jsonl", &jsonl), ("wtrcat", &wtrcat)] {
+            for outcome in decode_all_paths(bytes) {
+                let err = outcome.expect_err(format);
+                assert!(err.contains("window_days"), "{format} {days}: {err}");
+            }
+        }
+        for result in [
+            io::read_catalog(&jsonl[..]),
+            io::read_catalog_serde(&jsonl[..]),
+            io::read_catalog_bin(&wtrcat[..]),
+        ] {
+            assert!(matches!(result, Err(IoError::BadHeader(_))), "{days}");
+        }
+    }
+    // The cap itself is still a valid window.
+    let (jsonl, wtrcat) = with_window(MAX_WINDOW_DAYS);
+    for bytes in [&jsonl, &wtrcat] {
+        for outcome in decode_all_paths(bytes) {
+            assert_eq!(outcome, Ok(()));
+        }
+    }
 }
 
 /// The magic is validated before anything else: a non-WTRCAT binary

@@ -400,9 +400,26 @@ fn hostile_bodies_bounce_without_state_change() {
         let fake_wtrcat = b"WTRCAT\x01\xff\xff\xff\xff\xff\xff\xff\xff";
         assert_eq!(request(addr, "POST", "/ingest/t", fake_wtrcat).status, 400);
 
-        // None of it moved the books.
+        // A 1-row body whose header declares a ~4-billion-day window:
+        // rejected at the header, before any per-day state is sized.
+        let first_row = part.split(|&b| b == b'\n').nth(1).unwrap();
+        let mut huge_window =
+            b"{\"format\":\"wtr-catalog\",\"window_days\":4000000000,\"rows\":1}\n".to_vec();
+        huge_window.extend_from_slice(first_row);
+        huge_window.push(b'\n');
+        let reply = request(addr, "POST", "/ingest/t", &huge_window);
+        assert_eq!(reply.status, 400);
+        assert!(
+            reply.body_str().contains("window_days"),
+            "{}",
+            reply.body_str()
+        );
+
+        // None of it moved the books, and reports still serve.
         let after = request(addr, "GET", "/report/t/summary", &[]);
+        assert_eq!(after.status, 200);
         assert_eq!(after.generation(), generation_before);
+        assert_eq!(request(addr, "GET", "/report/t/labels", &[]).status, 200);
 
         // Routing errors.
         assert_eq!(

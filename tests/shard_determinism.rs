@@ -1,8 +1,10 @@
 //! Sharded == serial, byte for byte (the PR-4 contract).
 //!
-//! The scenario runners partition the agent population into K contiguous
-//! shards, run one independent event loop per shard, and merge the
-//! shard-local probes. This suite pins the whole contract:
+//! The scenario runners deal the agent population round-robin into K
+//! shards (agent `i` to shard `i % K`, so every shard gets the same mix
+//! of the block-built verticals), run one independent event loop per
+//! shard, and merge the shard-local probes. This suite pins the whole
+//! contract:
 //!
 //! 1. **Shard matrix**: catalog bytes (JSONL *and* WTRCAT), ground
 //!    truth, record counts and element load are identical at shards =
@@ -19,6 +21,8 @@
 //!    device partitions reproduces the serial fold exactly, and the
 //!    `LossySink` drop set is invariant to how devices are partitioned
 //!    into shards.
+//! 4. **Dispatch balance**: on the block-built population, no shard
+//!    dispatches more than 15% over the per-shard mean.
 
 use proptest::prelude::*;
 use where_things_roam::model::country::Country;
@@ -134,6 +138,24 @@ fn sharded_output_is_shard_count_invariant() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn shards_share_the_dispatch_load() {
+    // The population is built one vertical at a time, smartphones first;
+    // the strided agent deal must still give every shard about the same
+    // number of wake-ups, since the slowest shard sets the wall time.
+    for k in [2usize, 3] {
+        let out = MnoScenario::new(scenario_config(0.0)).run_sharded(k);
+        let dispatched: Vec<u64> = out.shard_stats.iter().map(|s| s.dispatched).collect();
+        let max = *dispatched.iter().max().unwrap() as f64;
+        let mean = dispatched.iter().sum::<u64>() as f64 / k as f64;
+        assert!(
+            max / mean <= 1.15,
+            "shards {k}: per-shard dispatches {dispatched:?} skew {:.3}",
+            max / mean
+        );
     }
 }
 
