@@ -359,31 +359,16 @@ impl MnoScenario {
 /// Merges per-shard probes (in shard order) into one.
 ///
 /// The merge is a balanced binary [`par::tree_reduce`] over
-/// `MnoProbe::absorb`: `O(log K)` levels of pairwise merges instead of a
-/// serial `K`-step left fold, with each level's pairs absorbed on scoped
-/// worker threads. The result is byte-identical to the serial fold at
-/// any thread count: shard probes tap disjoint device populations, so
-/// catalog rows never collide across shards (no floating-point
-/// regrouping), record vectors concatenate in shard order under any
-/// ordered tree, counters are additive, and the APN intern order any
-/// ordered tree produces is erased by the canonicalization pass that
-/// follows. `tests/shard_determinism.rs` pins both the golden digest
-/// and serial-vs-tree equality.
-///
-/// Setting `WTR_SERIAL_MERGE=1` forces the serial left fold — the
-/// reference path for equivalence tests and merge-ablation benches.
+/// `MnoProbe::absorb`: `O(log K)` levels of pairwise merges, with each
+/// level's pairs absorbed on scoped worker threads. The result is
+/// byte-identical at any shard and thread count: shard probes tap
+/// disjoint device populations, so catalog rows never collide across
+/// shards (no floating-point regrouping), record vectors concatenate in
+/// shard order under any ordered tree, counters are additive, and the
+/// APN intern order any ordered tree produces is erased by the
+/// canonicalization pass that follows. `tests/shard_determinism.rs` pins
+/// the golden digest and shard-count invariance.
 pub fn merge_shard_probes(probes: Vec<MnoProbe>) -> MnoProbe {
-    let serial = std::env::var("WTR_SERIAL_MERGE").is_ok_and(|v| v == "1");
-    if serial {
-        let mut merged: Option<MnoProbe> = None;
-        for probe in probes {
-            match &mut merged {
-                None => merged = Some(probe),
-                Some(m) => m.absorb(probe),
-            }
-        }
-        return merged.expect("at least one shard");
-    }
     par::tree_reduce(probes, |mut left, right| {
         left.absorb(right);
         left

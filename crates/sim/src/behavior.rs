@@ -185,9 +185,8 @@ pub struct DeviceParams {
     pub sticky_failure: Option<ProcedureResult>,
 }
 
-/// Attach-walk knobs extracted for one wake (shared between the legacy
-/// path — sourced from `DeviceSpec` fields — and the matrix path —
-/// sourced from [`DeviceParams`]; identical values by compilation).
+/// Attach-walk knobs extracted for one wake, sourced from
+/// [`DeviceParams`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttachParams {
     /// Per-attempt transient-failure probability.
@@ -487,9 +486,9 @@ impl BehaviorMatrix {
         }
     }
 
-    /// Construction-time draw 1: the per-device rate multiplier. Same
-    /// semantics as `TrafficProfile::draw_device_multiplier` — zero sigma
-    /// consumes no draw.
+    /// Construction-time draw 1: the per-device rate multiplier, a
+    /// LogNormal around 1 with [`DeviceParams::per_device_sigma`] — zero
+    /// sigma consumes no draw.
     pub fn draw_multiplier(&self, rng: &mut SubstreamRng) -> f64 {
         if self.params.per_device_sigma <= 0.0 {
             1.0
@@ -809,10 +808,10 @@ pub fn profile_matrix(profile: &TrafficProfile, opts: &BehaviorOptions) -> Behav
     BehaviorMatrix::new(params, rows, states::PLAN).expect("profile compilation is always valid")
 }
 
-/// Compiles a [`DeviceSpec`](crate::device::DeviceSpec) into matrix form —
-/// the bridge proving the refactor equivalent: the compiled matrix holds
-/// exactly the numeric values the legacy branches read, so the interpreter
-/// replays the same draw sequence and the golden digests are preserved.
+/// Compiles a [`DeviceSpec`](crate::device::DeviceSpec) into matrix form:
+/// the compiled matrix holds exactly the numeric values the spec carries,
+/// laid out so the interpreter replays the draw sequence the golden
+/// digests pin. Every `DeviceAgent::new` steps such a matrix.
 pub fn legacy_matrix(spec: &crate::device::DeviceSpec) -> BehaviorMatrix {
     profile_matrix(
         &spec.traffic,
@@ -910,6 +909,42 @@ mod tests {
                 states::SIGNALING | states::DATA | states::VOICE
             ));
         }
+    }
+
+    #[test]
+    fn plan_counts_scale_with_multiplier() {
+        let m = meter_matrix();
+        let planned_signaling = |multiplier: f64| {
+            let mut host = ProbeHost::new(true);
+            let ctx = StepCtx {
+                present: true,
+                multiplier,
+            };
+            for _ in 0..2_000 {
+                m.step(states::PLAN, ctx, &mut host);
+            }
+            host.scheduled
+                .iter()
+                .filter(|(state, _)| *state == states::SIGNALING)
+                .count()
+        };
+        let ratio = planned_signaling(10.0) as f64 / planned_signaling(1.0).max(1) as f64;
+        assert!((8.0..12.0).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn device_multiplier_creates_heterogeneity() {
+        let phone = profile_matrix(
+            &TrafficProfile::for_vertical(Vertical::Smartphone),
+            &BehaviorOptions::default(),
+        );
+        let mut rng = SubstreamRng::derive(11, 11);
+        let ms: Vec<f64> = (0..1_000)
+            .map(|_| phone.draw_multiplier(&mut rng))
+            .collect();
+        let min = ms.iter().cloned().fold(f64::INFINITY, f64::min);
+        let max = ms.iter().cloned().fold(0.0, f64::max);
+        assert!(max / min > 10.0, "not enough spread: {min}..{max}");
     }
 
     #[test]

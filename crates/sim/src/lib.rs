@@ -18,11 +18,9 @@
 //! ## Architecture
 //!
 //! * [`engine`] — a minimal event-queue core: agents schedule wake-ups,
-//!   the engine dispatches them in time order (calendar-queue storage by
-//!   default, the reference `BinaryHeap` behind `WTR_HEAP_SCHED=1`).
+//!   the engine dispatches them in time order from a calendar queue.
 //! * [`behavior`] — declarative device behavior: validated CTMC
-//!   transition matrices interpreted by one homogeneous `step` function
-//!   (the hand-coded branches stay behind `WTR_LEGACY_BEHAVIOR=1`).
+//!   transition matrices interpreted by one homogeneous `step` function.
 //! * [`events`] — the simulation's observable output: signaling
 //!   transactions, data sessions, voice calls.
 //! * [`mobility`] — position-over-time models (stationary meter, commuter,
@@ -59,7 +57,7 @@ pub use behavior::{
     EmissionSpec, StateId,
 };
 pub use device::{DeviceAgent, DeviceSpec, PresenceModel, SpecError};
-pub use engine::{Agent, AgentId, Engine, EngineStats, Scheduler, SchedulerKind, WakeTag};
+pub use engine::{Agent, AgentId, Engine, EngineStats, Scheduler, WakeTag};
 pub use events::{
     DataSession, ProcedureResult, ProcedureType, SignalingEvent, SimEvent, VoiceCall,
 };

@@ -1,41 +1,36 @@
 //! Matrix behavior == legacy behavior (the PR-8 contract).
 //!
-//! The `wtr_sim::behavior` interpreter replaces the hand-coded wake
+//! The `wtr_sim::behavior` interpreter replaced the hand-coded wake
 //! branches of `DeviceAgent`; `legacy_matrix` compiles each device spec
-//! into matrix form with a draw-order-preserving layout. This suite pins
-//! the equivalence at every level:
+//! into matrix form with a draw-order-preserving layout. This suite pins:
 //!
-//! 1. **Per vertical**: for every [`Vertical`], the explicit legacy agent
-//!    and the matrix agent built from `legacy_matrix` emit *identical*
-//!    event streams — including sticky-failure, switch-happy and
-//!    flaky-presence variants of each class.
-//! 2. **Scenario scale**: the full visited-MNO scenario produces
-//!    fingerprint-equal output (catalog JSONL + WTRCAT, ground truth,
-//!    record counts) on both paths across shards 1/2/8 × streaming
-//!    on/off × record loss 0/0.07.
-//! 3. **Validation** (proptest): `BehaviorMatrix::new`/`validate` rejects
+//! 1. **Per vertical**: for every [`Vertical`], the matrix agent emits the
+//!    event stream the hand-coded branches emitted — including
+//!    sticky-failure, switch-happy and flaky-presence variants of each
+//!    class. The digests were captured from the hand-coded branches, and
+//!    checked equal to the matrix path's, while both paths existed. At
+//!    scenario scale the catalog golden in `tests/shard_determinism.rs`
+//!    (captured on the hand-coded path) guards the same property.
+//! 2. **Validation** (proptest): `BehaviorMatrix::new`/`validate` rejects
 //!    every corruption of a well-formed matrix, and accepts + roundtrips
 //!    (serde, byte-stable) every well-formed parameterization.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use where_things_roam::model::country::Country;
 use where_things_roam::model::ids::{Imei, Imsi, Plmn, Tac};
 use where_things_roam::model::rat::RatSet;
 use where_things_roam::model::time::SimTime;
 use where_things_roam::model::vertical::Vertical;
-use where_things_roam::probes::io;
 use where_things_roam::radio::geo::CountryGeometry;
 use where_things_roam::radio::network::{CoverageFaults, RadioNetwork};
 use where_things_roam::radio::sector::GridSpacing;
-use where_things_roam::scenarios::{MnoScenario, MnoScenarioConfig, MnoScenarioOutput};
 use where_things_roam::sim::behavior::{
-    legacy_matrix, profile_matrix, states, BehaviorMatrix, BehaviorOptions, BehaviorRow,
-    EmissionSpec, PlanTarget, StateId, MAX_PLAN_TARGETS,
+    profile_matrix, states, BehaviorMatrix, BehaviorOptions, BehaviorRow, EmissionSpec, PlanTarget,
+    StateId, MAX_PLAN_TARGETS,
 };
 use where_things_roam::sim::device::{DeviceAgent, DeviceSpec, ItineraryLeg, PresenceModel};
 use where_things_roam::sim::engine::Engine;
-use where_things_roam::sim::events::ProcedureResult;
+use where_things_roam::sim::events::{ProcedureResult, SimEvent};
 use where_things_roam::sim::traffic::TrafficProfile;
 use where_things_roam::sim::world::{AllowAllPolicy, NetworkDirectory, RoamingWorld, VecSink};
 use where_things_roam::sim::MobilityModel;
@@ -85,36 +80,50 @@ fn vertical_spec(vertical: Vertical, index: u64, days: u32) -> DeviceSpec {
     }
 }
 
-/// Runs the same specs through the explicit legacy agent and the explicit
-/// matrix agent (both env-independent) and returns both event streams.
-fn run_both_paths(
-    specs: &[DeviceSpec],
-    days: u32,
-) -> (
-    Vec<where_things_roam::sim::events::SimEvent>,
-    Vec<where_things_roam::sim::events::SimEvent>,
-) {
-    let run_path = |legacy: bool| {
-        let world = RoamingWorld::new(directory(), Box::new(AllowAllPolicy), VecSink::default(), 7);
-        let mut engine = Engine::new(world, SimTime::from_secs(days as u64 * 86_400));
-        for spec in specs {
-            let agent = if legacy {
-                DeviceAgent::legacy(spec.clone(), 7).unwrap()
-            } else {
-                let matrix = Arc::new(legacy_matrix(spec));
-                DeviceAgent::with_behavior(spec.clone(), matrix, 7).unwrap()
-            };
-            engine.add_agent(agent);
-        }
-        engine.run().sink.events
-    };
-    (run_path(true), run_path(false))
+/// Runs the specs through matrix-driven agents and returns the event
+/// stream.
+fn run_matrix_path(specs: &[DeviceSpec], days: u32) -> Vec<SimEvent> {
+    let world = RoamingWorld::new(directory(), Box::new(AllowAllPolicy), VecSink::default(), 7);
+    let mut engine = Engine::new(world, SimTime::from_secs(days as u64 * 86_400));
+    for spec in specs {
+        engine.add_agent(DeviceAgent::new(spec.clone(), 7));
+    }
+    engine.run().sink.events
 }
+
+/// FNV-1a digest of an event stream: serialized events in emission
+/// order, newline-terminated.
+fn stream_digest(events: &[SimEvent]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for e in events {
+        let line = serde_json::to_string(e).unwrap();
+        for b in line.bytes().chain([b'\n']) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Per vertical, in [`Vertical::ALL`] order: (event count, stream digest)
+/// of the hand-coded wake branches on the four-device spec set below.
+const LEGACY_STREAMS: [(Vertical, usize, u64); 9] = [
+    (Vertical::Smartphone, 14_791, 0xc57d_ca23_3c25_bd6d),
+    (Vertical::FeaturePhone, 392, 0xeff1_f821_4d08_7bd8),
+    (Vertical::SmartMeter, 242, 0x3aaa_6797_7af7_7178),
+    (Vertical::ConnectedCar, 3_639, 0xf9d0_7407_b72b_c3b3),
+    (Vertical::AssetTracker, 933, 0x0010_0889_e276_9b77),
+    (Vertical::Wearable, 635, 0xd70a_215c_0b44_fa1c),
+    (Vertical::PaymentTerminal, 2_535, 0xfe35_b0c8_4c29_aa41),
+    (Vertical::SecurityAlarm, 386, 0x2e1c_b6fe_c1ba_4225),
+    (Vertical::IndustrialSensor, 540, 0x4fc0_ccce_1606_bafa),
+];
 
 #[test]
 fn every_vertical_matrix_equals_legacy() {
     const DAYS: u32 = 6;
-    for (i, &vertical) in Vertical::ALL.iter().enumerate() {
+    assert_eq!(LEGACY_STREAMS.map(|(v, _, _)| v), Vertical::ALL);
+    for (i, &(vertical, len, digest)) in LEGACY_STREAMS.iter().enumerate() {
         let base = i as u64 * 10;
         // Base class + the variants that exercise every wake branch:
         // misprovisioned (sticky attach failure), switch-happy with
@@ -131,80 +140,13 @@ fn every_vertical_matrix_equals_legacy() {
             daily_active_prob: 0.5,
         };
         let specs = vec![vertical_spec(vertical, base, DAYS), sticky, switcher, flaky];
-        let (legacy, matrix) = run_both_paths(&specs, DAYS);
-        assert_eq!(legacy, matrix, "vertical {vertical:?} diverged");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Scenario scale.
-// ---------------------------------------------------------------------
-
-/// Everything the equivalence compares, flattened to bytes.
-fn fingerprint(out: &MnoScenarioOutput) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    io::write_catalog(&mut bytes, &out.catalog).unwrap();
-    io::write_catalog_bin(&mut bytes, &out.catalog).unwrap();
-    bytes.extend(
-        serde_json::to_string(&out.ground_truth)
-            .unwrap()
-            .into_bytes(),
-    );
-    bytes.extend(format!("{:?}", out.record_counts).into_bytes());
-    bytes
-}
-
-fn scenario_fingerprint(config: &MnoScenarioConfig, shards: usize, streaming: bool) -> Vec<u8> {
-    let scenario = MnoScenario::new(config.clone());
-    let out = if streaming {
-        scenario.run_streaming_sharded(shards)
-    } else {
-        scenario.run_sharded(shards)
-    };
-    fingerprint(&out)
-}
-
-/// The whole-scenario equivalence across the shard × streaming × loss
-/// matrix. The scenario population mixes every vertical, so a fingerprint
-/// match here is a per-vertical catalog match at scenario scale.
-///
-/// This is the only test in this binary that touches
-/// `WTR_LEGACY_BEHAVIOR` — the env var is process-global and tests run
-/// concurrently, so every other test uses the env-independent explicit
-/// constructors instead.
-#[test]
-fn scenario_matrix_path_reproduces_legacy_across_shard_matrix() {
-    for loss in [0.0, 0.07] {
-        let config = MnoScenarioConfig {
-            devices: 400,
-            days: 4,
-            seed: 11,
-            nbiot_meter_fraction: 0.05,
-            sunset_2g_uk: false,
-            gsma_transparency: false,
-            record_loss_fraction: loss,
-        };
-        // Agents read the env var at construction time, inside the run_*
-        // calls — so the flip brackets each legacy run exactly.
-        std::env::set_var("WTR_LEGACY_BEHAVIOR", "1");
-        let reference = scenario_fingerprint(&config, 1, false);
-        std::env::remove_var("WTR_LEGACY_BEHAVIOR");
-        for shards in [1usize, 2, 8] {
-            for streaming in [false, true] {
-                std::env::set_var("WTR_LEGACY_BEHAVIOR", "1");
-                let legacy = scenario_fingerprint(&config, shards, streaming);
-                std::env::remove_var("WTR_LEGACY_BEHAVIOR");
-                let matrix = scenario_fingerprint(&config, shards, streaming);
-                assert_eq!(
-                    legacy, reference,
-                    "legacy path not shard-invariant (loss {loss}, {shards} shards, streaming {streaming})"
-                );
-                assert_eq!(
-                    matrix, reference,
-                    "matrix path diverged (loss {loss}, {shards} shards, streaming {streaming})"
-                );
-            }
-        }
+        let events = run_matrix_path(&specs, DAYS);
+        assert_eq!(events.len(), len, "vertical {vertical:?} event count");
+        assert_eq!(
+            stream_digest(&events),
+            digest,
+            "vertical {vertical:?} diverged"
+        );
     }
 }
 

@@ -44,7 +44,9 @@ use where_things_roam::sim::events::{
 use where_things_roam::sim::world::{EventSink, VecSink};
 
 /// Shard counts in the matrix (serial reference + uneven splits; 3
-/// exercises the unpaired tail of the tree-reduction merge).
+/// exercises the unpaired tail of the tree-reduction merge). Shards 1
+/// runs no merge at all, so equality at 2/3/8 is what guards the tree
+/// merge end to end.
 const SHARDS: [usize; 4] = [1, 2, 3, 8];
 
 // ---------------------------------------------------------------------
@@ -165,75 +167,14 @@ fn catalog_bytes_match_pre_shard_golden_anchor() {
     // interleaving; each device's own event stream — and therefore the
     // loss-free catalog, whose rows are pure per-device folds — is
     // untouched. The digest below was captured from the pre-change
-    // engine. The matrix runs under both `WTR_HEAP_SCHED` settings:
-    // the calendar queue (default) and the reference heap must both hit
-    // the golden digest. Other tests in this binary may run while the
-    // variable is set — that is fine, because calendar/heap equality is
-    // exactly the property under test (same argument as the
-    // `WTR_SERIAL_MERGE` knob below).
-    for heap_sched in [false, true] {
-        if heap_sched {
-            std::env::set_var("WTR_HEAP_SCHED", "1");
-        }
-        let out = MnoScenario::new(scenario_config(0.0)).run_sharded(1);
-        if heap_sched {
-            std::env::remove_var("WTR_HEAP_SCHED");
-        }
-        let mut jsonl = Vec::new();
-        io::write_catalog(&mut jsonl, &out.catalog).unwrap();
-        assert_eq!(
-            digest(&jsonl),
-            OLD_CATALOG_JSONL_DIGEST,
-            "heap_sched {heap_sched}"
-        );
-        assert_eq!(out.record_counts, OLD_RECORD_COUNTS);
-        assert_eq!(out.catalog.len(), OLD_CATALOG_ROWS);
-    }
-}
-
-#[test]
-fn heap_and_calendar_schedulers_agree_across_shard_matrix() {
-    // Stronger than the golden anchor: the *entire fingerprint* (both
-    // catalog formats, ground truth, counts, element load) must be
-    // byte-identical between the calendar queue and the reference heap
-    // at several shard counts, with loss on — the in-process twin of the
-    // CI `sim-determinism` ablation diff.
-    let config = scenario_config(0.05);
-    for &k in &[1usize, 3, 8] {
-        let calendar = MnoScenario::new(config.clone()).run_sharded(k);
-        std::env::set_var("WTR_HEAP_SCHED", "1");
-        let heap = MnoScenario::new(config.clone()).run_sharded(k);
-        std::env::remove_var("WTR_HEAP_SCHED");
-        assert_eq!(
-            fingerprint(&calendar),
-            fingerprint(&heap),
-            "calendar vs heap diverged at shards {k}"
-        );
-        assert_eq!(calendar.engine_stats(), heap.engine_stats());
-    }
-}
-
-#[test]
-fn tree_merge_matches_serial_left_fold() {
-    // The tree-reduction merge tail must be byte-identical to the
-    // serial shard-order left fold it replaced: shard probes tap
-    // disjoint device populations, so `absorb` never regroups floats
-    // across shards and the reduction shape cannot show through. The
-    // `WTR_SERIAL_MERGE=1` knob forces the old fold; both runs below
-    // use an odd shard count so the tree has an unpaired tail. Other
-    // tests in this binary may run while the variable is set — that is
-    // fine, because equality of the two paths is exactly the property
-    // under test.
-    let config = scenario_config(0.03);
-    std::env::set_var("WTR_SERIAL_MERGE", "1");
-    let serial = MnoScenario::new(config.clone()).run_sharded(3);
-    std::env::remove_var("WTR_SERIAL_MERGE");
-    let tree = MnoScenario::new(config).run_sharded(3);
-    assert_eq!(
-        fingerprint(&serial),
-        fingerprint(&tree),
-        "tree-reduction merge diverged from the serial shard fold"
-    );
+    // engine, on the hand-coded wake branches the behavior matrix later
+    // replaced, so it also pins that replacement at scenario scale.
+    let out = MnoScenario::new(scenario_config(0.0)).run_sharded(1);
+    let mut jsonl = Vec::new();
+    io::write_catalog(&mut jsonl, &out.catalog).unwrap();
+    assert_eq!(digest(&jsonl), OLD_CATALOG_JSONL_DIGEST);
+    assert_eq!(out.record_counts, OLD_RECORD_COUNTS);
+    assert_eq!(out.catalog.len(), OLD_CATALOG_ROWS);
 }
 
 #[test]
@@ -242,39 +183,17 @@ fn dispatch_reorder_preserved_event_multiset() {
     // tie-break: replay a small fixed world and compare the *sorted*
     // serialized events against the digest captured from the old
     // engine. Equality proves the re-anchor changed interleaving only —
-    // no event was created, lost, or altered. Runs under both
-    // `WTR_HEAP_SCHED` settings, and additionally pins the *raw
-    // emission order* of the two schedulers against each other: the
-    // calendar queue must not merely preserve the multiset, it must
-    // dispatch bit-identically to the heap.
-    let calendar = small_world::run();
-    std::env::set_var("WTR_HEAP_SCHED", "1");
-    let heap = small_world::run();
-    std::env::remove_var("WTR_HEAP_SCHED");
-    for events in [&calendar, &heap] {
-        let mut lines: Vec<String> = events
-            .iter()
-            .map(|e| serde_json::to_string(e).unwrap())
-            .collect();
-        lines.sort();
-        assert_eq!(lines.len(), 498);
-        assert_eq!(
-            digest(lines.join("\n").as_bytes()),
-            OLD_EVENT_MULTISET_DIGEST,
-            "event multiset changed across the dispatch-order migration"
-        );
-    }
-    let raw = |events: &[SimEvent]| {
-        let lines: Vec<String> = events
-            .iter()
-            .map(|e| serde_json::to_string(e).unwrap())
-            .collect();
-        digest(lines.join("\n").as_bytes())
-    };
+    // no event was created, lost, or altered.
+    let mut lines: Vec<String> = small_world::run()
+        .iter()
+        .map(|e| serde_json::to_string(e).unwrap())
+        .collect();
+    lines.sort();
+    assert_eq!(lines.len(), 498);
     assert_eq!(
-        raw(&calendar),
-        raw(&heap),
-        "calendar and heap schedulers emitted different event orders"
+        digest(lines.join("\n").as_bytes()),
+        OLD_EVENT_MULTISET_DIGEST,
+        "event multiset changed across the dispatch-order migration"
     );
 }
 
