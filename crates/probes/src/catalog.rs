@@ -310,6 +310,25 @@ impl DevicesCatalog {
             .or_insert_with(|| CatalogEntry::new(user, day, sim_plmn, tac, label))
     }
 
+    /// Takes the (user, day) row out of the catalog, or creates it with
+    /// identity fields set on this first touch, for a caller that folds
+    /// into the row directly and hands it back with
+    /// [`DevicesCatalog::insert_entry`]. Take, fold, insert is exactly one
+    /// [`DevicesCatalog::row_mut`] per fold: same identity fields, same
+    /// order of additions.
+    pub(crate) fn take_row(
+        &mut self,
+        user: u64,
+        day: Day,
+        sim_plmn: Plmn,
+        tac: Tac,
+        label: RoamingLabel,
+    ) -> CatalogEntry {
+        self.rows
+            .remove(&(user, day.0))
+            .unwrap_or_else(|| CatalogEntry::new(user, day, sim_plmn, tac, label))
+    }
+
     /// Inserts a fully-built row (the wire-decode path). A row for an
     /// existing (user, day) key is folded in with [`CatalogEntry::absorb`].
     pub fn insert_entry(&mut self, entry: CatalogEntry) {
@@ -473,6 +492,22 @@ mod tests {
         let row = cat.get(1, Day(0)).unwrap();
         assert_eq!(row.events, 2);
         assert_eq!(row.label, RoamingLabel::HH);
+    }
+
+    #[test]
+    fn take_row_hands_back_the_existing_row_or_a_fresh_one() {
+        let mut cat = DevicesCatalog::new(22);
+        cat.row_mut(1, Day(0), plmn(), tac(), RoamingLabel::HH)
+            .events = 4;
+        let mut taken = cat.take_row(1, Day(0), plmn(), tac(), RoamingLabel::IH);
+        assert!(cat.is_empty(), "the row leaves the catalog");
+        assert_eq!((taken.events, taken.label), (4, RoamingLabel::HH));
+        taken.events += 1;
+        cat.insert_entry(taken);
+        assert_eq!(cat.get(1, Day(0)).unwrap().events, 5);
+        let fresh = cat.take_row(2, Day(3), plmn(), tac(), RoamingLabel::VH);
+        assert_eq!((fresh.events, fresh.label), (0, RoamingLabel::VH));
+        assert_eq!(cat.len(), 1);
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub struct LossySink<S> {
     inner: S,
     drop_fraction: f64,
     salt: u64,
-    /// Per-device event counters: `device -> events seen so far`.
+    /// Per-device event counters: `device -> events seen so far`. Stays
+    /// empty when `drop_fraction` is 0.
     device_seq: HashMap<u64, u64>,
     seen: u64,
     dropped: u64,
@@ -83,17 +84,21 @@ impl<S: EventSink> LossySink<S> {
 impl<S: EventSink> EventSink for LossySink<S> {
     fn on_event(&mut self, event: &SimEvent) {
         self.seen += 1;
-        let seq = self.device_seq.entry(event.device()).or_insert(0);
-        *seq += 1;
-        // Deterministic per-event coin keyed on (salt, device, per-device
-        // sequence): repeated timestamps from one device don't share fate,
-        // and the coin never depends on how other devices interleave —
-        // the loss set is shard-count-invariant.
-        let h = mix64(mix64(self.salt ^ event.device()) ^ *seq);
-        let coin = h as f64 / u64::MAX as f64;
-        if coin < self.drop_fraction {
-            self.dropped += 1;
-            return;
+        // The coin is never below 0, so a lossless sink needs no coin and
+        // no per-device counter.
+        if self.drop_fraction > 0.0 {
+            let seq = self.device_seq.entry(event.device()).or_insert(0);
+            *seq += 1;
+            // Deterministic per-event coin keyed on (salt, device,
+            // per-device sequence): repeated timestamps from one device
+            // don't share fate, and the coin never depends on how other
+            // devices interleave — the loss set is shard-count-invariant.
+            let h = mix64(mix64(self.salt ^ event.device()) ^ *seq);
+            let coin = h as f64 / u64::MAX as f64;
+            if coin < self.drop_fraction {
+                self.dropped += 1;
+                return;
+            }
         }
         self.inner.on_event(event);
     }
@@ -128,8 +133,12 @@ mod tests {
         for i in 0..500 {
             sink.on_event(&event(i));
         }
-        assert_eq!(sink.dropped(), 0);
+        assert_eq!((sink.seen(), sink.dropped()), (500, 0));
         assert_eq!(sink.inner().events.len(), 500);
+        assert!(
+            sink.device_seq.is_empty(),
+            "a lossless sink keeps no per-device state"
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::io::{self, BufRead, Read, Write};
 use wtr_model::ids::{Plmn, Tac};
 use wtr_model::intern::{ApnSym, ApnTable};
 use wtr_model::rat::RadioFlags;
-use wtr_model::roaming::RoamingLabel;
+use wtr_model::roaming::{Presence, RoamingLabel, SimOrigin};
 use wtr_model::time::Day;
 use wtr_sim::par;
 use wtr_sim::stream::RecordStream;
@@ -272,7 +272,9 @@ impl scan::FastParse for CatalogRowWire {
 }
 
 impl CatalogRowWire {
-    /// Resolves a row's symbols against `catalog`'s table.
+    /// Resolves a row's symbols against `catalog`'s table (the serde
+    /// oracle's input, see the tests' `write_catalog_serde`).
+    #[cfg(test)]
     fn from_entry(entry: &CatalogEntry, catalog: &DevicesCatalog) -> Self {
         CatalogRowWire {
             user: entry.user,
@@ -346,29 +348,214 @@ impl CatalogRowWire {
 
 /// Writes a devices-catalog as JSONL: a header line, then one row per line
 /// in a stable (user, day) order so exports are diffable.
+///
+/// Rows are formatted straight into one reused byte buffer, in exactly
+/// the shape [`CatalogRowWire`]'s scanner fast path accepts: the struct's
+/// keys in declaration order, compact separators, APN strings sorted and
+/// escaped as `serde_json` escapes them, and floats by its rule (see
+/// [`push_f64`]). The bytes equal a `serde_json` serialization of the
+/// same rows, which the unit tests keep as the writer's oracle.
 pub fn write_catalog<W: Write>(mut out: W, catalog: &DevicesCatalog) -> Result<(), IoError> {
-    let header = CatalogHeader {
-        format: CATALOG_FORMAT.to_owned(),
-        window_days: catalog.window_days(),
-        rows: catalog.len(),
-    };
-    serde_json::to_writer(&mut out, &header).map_err(|e| IoError::Parse {
-        line: 1,
-        message: e.to_string(),
-    })?;
-    out.write_all(b"\n")?;
-    let mut rows: Vec<&CatalogEntry> = catalog.iter().collect();
-    rows.sort_by_key(|r| (r.user, r.day));
-    for (idx, row) in rows.into_iter().enumerate() {
-        let wire = CatalogRowWire::from_entry(row, catalog);
-        serde_json::to_writer(&mut out, &wire).map_err(|e| IoError::Parse {
-            // 1-based: the header is line 1, row `idx` lands on idx + 2.
-            line: idx + 2,
-            message: e.to_string(),
-        })?;
-        out.write_all(b"\n")?;
+    /// Bytes buffered before each `write_all`.
+    const FLUSH_AT: usize = 1 << 16;
+    let mut buf = Vec::with_capacity(FLUSH_AT + 4096);
+    buf.extend_from_slice(b"{\"format\":");
+    push_json_str(&mut buf, CATALOG_FORMAT);
+    buf.extend_from_slice(b",\"window_days\":");
+    push_u64(&mut buf, u64::from(catalog.window_days()));
+    buf.extend_from_slice(b",\"rows\":");
+    push_u64(&mut buf, catalog.len() as u64);
+    buf.extend_from_slice(b"}\n");
+    let mut apns: Vec<&str> = Vec::new();
+    for row in catalog.iter() {
+        push_row(&mut buf, row, catalog, &mut apns);
+        if buf.len() >= FLUSH_AT {
+            out.write_all(&buf)?;
+            buf.clear();
+        }
     }
+    out.write_all(&buf)?;
     Ok(())
+}
+
+/// Appends one catalog row and its newline to `buf` (see
+/// [`write_catalog`]). `apns` is scratch space for the row's resolved
+/// APN strings.
+fn push_row<'c>(
+    buf: &mut Vec<u8>,
+    row: &CatalogEntry,
+    catalog: &'c DevicesCatalog,
+    apns: &mut Vec<&'c str>,
+) {
+    buf.extend_from_slice(b"{\"user\":");
+    push_u64(buf, row.user);
+    buf.extend_from_slice(b",\"day\":");
+    push_u64(buf, u64::from(row.day.0));
+    buf.extend_from_slice(b",\"sim_plmn\":");
+    push_plmn(buf, row.sim_plmn);
+    buf.extend_from_slice(b",\"tac\":");
+    push_u64(buf, u64::from(row.tac.value()));
+    buf.extend_from_slice(b",\"label\":{\"sim\":\"");
+    buf.extend_from_slice(match row.label.sim {
+        SimOrigin::Home => b"Home".as_slice(),
+        SimOrigin::Virtual => b"Virtual",
+        SimOrigin::National => b"National",
+        SimOrigin::International => b"International",
+    });
+    buf.extend_from_slice(b"\",\"presence\":\"");
+    buf.extend_from_slice(match row.label.presence {
+        Presence::Home => b"Home".as_slice(),
+        Presence::Abroad => b"Abroad",
+    });
+    for (key, value) in [
+        (b"\"},\"events\":".as_slice(), row.events),
+        (b",\"failed_events\":", row.failed_events),
+        (b",\"calls\":", row.calls),
+        (b",\"sms\":", row.sms),
+        (b",\"call_secs\":", row.call_secs),
+        (b",\"data_sessions\":", row.data_sessions),
+        (b",\"bytes_up\":", row.bytes_up),
+        (b",\"bytes_down\":", row.bytes_down),
+    ] {
+        buf.extend_from_slice(key);
+        push_u64(buf, value);
+    }
+    buf.extend_from_slice(b",\"visited\":");
+    push_list(buf, row.visited.iter(), |buf, &v| {
+        push_u64(buf, u64::from(v))
+    });
+    // The wire form lists APN strings in string order; symbol order
+    // matches it only in a canonical table.
+    apns.clear();
+    apns.extend(row.apns.iter().map(|&sym| catalog.apn_str(sym)));
+    apns.sort_unstable();
+    buf.extend_from_slice(b",\"apns\":");
+    push_list(buf, apns.iter(), |buf, apn| push_json_str(buf, apn));
+    let flags = row.radio_flags;
+    buf.extend_from_slice(b",\"radio_flags\":{\"any\":");
+    push_u64(buf, u64::from(flags.any.bits()));
+    buf.extend_from_slice(b",\"data\":");
+    push_u64(buf, u64::from(flags.data.bits()));
+    buf.extend_from_slice(b",\"voice\":");
+    push_u64(buf, u64::from(flags.voice.bits()));
+    buf.extend_from_slice(b"},\"sector_set\":");
+    push_list(buf, row.sector_set.iter(), |buf, &s| push_u64(buf, s));
+    buf.extend_from_slice(b",\"hourly\":");
+    push_list(buf, row.hourly.iter(), |buf, &h| {
+        push_u64(buf, u64::from(h))
+    });
+    buf.extend_from_slice(b",\"in_designated_range\":");
+    push_bool(buf, row.in_designated_range);
+    buf.extend_from_slice(b",\"in_published_m2m_range\":");
+    push_bool(buf, row.in_published_m2m_range);
+    let [w, lat_w, lon_w, lat2_w, lon2_w] = row.mobility.to_parts();
+    for (key, value) in [
+        (b",\"mobility\":{\"w\":".as_slice(), w),
+        (b",\"lat_w\":", lat_w),
+        (b",\"lon_w\":", lon_w),
+        (b",\"lat2_w\":", lat2_w),
+        (b",\"lon2_w\":", lon2_w),
+    ] {
+        buf.extend_from_slice(key);
+        push_f64(buf, value);
+    }
+    buf.extend_from_slice(b"}}\n");
+}
+
+/// Appends `n` in decimal.
+fn push_u64(buf: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[at..]);
+}
+
+fn push_bool(buf: &mut Vec<u8>, b: bool) {
+    buf.extend_from_slice(if b { b"true" } else { b"false" });
+}
+
+/// Appends a float by the vendored `serde_json` rule: `null` for
+/// non-finite values, one decimal for integral values below 1e16
+/// (`1.0`, `-0.0`), `Display` otherwise.
+fn push_f64(buf: &mut Vec<u8>, f: f64) {
+    if !f.is_finite() {
+        buf.extend_from_slice(b"null");
+    } else if f == f.trunc() && f.abs() < 1e16 {
+        // `{f:.1}` of an integral value below 1e16: its exact integer
+        // digits (`as` is exact there), the sign of -0.0 included.
+        if f.is_sign_negative() {
+            buf.push(b'-');
+        }
+        push_u64(buf, f.abs() as u64);
+        buf.extend_from_slice(b".0");
+    } else {
+        let _ = write!(buf, "{f}");
+    }
+}
+
+/// Appends a JSON string with the vendored `serde_json` escapes: `"` and
+/// `\\`, the short forms of `\n \r \t \b \f`, `\u00XX` (lowercase hex)
+/// for the other control characters, everything else verbatim.
+fn push_json_str(buf: &mut Vec<u8>, s: &str) {
+    buf.push(b'"');
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0x08 => b"\\b",
+            0x0c => b"\\f",
+            0x00..=0x1f => b"",
+            _ => continue,
+        };
+        buf.extend_from_slice(&bytes[run..i]);
+        run = i + 1;
+        if escape.is_empty() {
+            let _ = write!(buf, "\\u{b:04x}");
+        } else {
+            buf.extend_from_slice(escape);
+        }
+    }
+    buf.extend_from_slice(&bytes[run..]);
+    buf.push(b'"');
+}
+
+/// Appends a PLMN as `{"mcc":N,"mnc":{"value":N,"digits":D}}`.
+fn push_plmn(buf: &mut Vec<u8>, plmn: Plmn) {
+    buf.extend_from_slice(b"{\"mcc\":");
+    push_u64(buf, u64::from(plmn.mcc.value()));
+    buf.extend_from_slice(b",\"mnc\":{\"value\":");
+    push_u64(buf, u64::from(plmn.mnc.value()));
+    buf.extend_from_slice(b",\"digits\":");
+    push_u64(buf, u64::from(plmn.mnc.digits()));
+    buf.extend_from_slice(b"}}");
+}
+
+/// Appends `[a,b,…]` with `item` formatting each element.
+fn push_list<T>(
+    buf: &mut Vec<u8>,
+    items: impl Iterator<Item = T>,
+    mut item: impl FnMut(&mut Vec<u8>, T),
+) {
+    buf.push(b'[');
+    for (i, value) in items.enumerate() {
+        if i > 0 {
+            buf.push(b',');
+        }
+        item(buf, value);
+    }
+    buf.push(b']');
 }
 
 /// Parses and validates a catalog JSONL header line: the format marker
@@ -855,6 +1042,209 @@ mod tests {
                 },
             })
             .collect()
+    }
+
+    /// The serde twin of [`write_catalog`]: every row through a
+    /// `serde_json` `Value` tree. Kept only as the writer's oracle.
+    fn write_catalog_serde(catalog: &DevicesCatalog) -> Vec<u8> {
+        let header = CatalogHeader {
+            format: CATALOG_FORMAT.to_owned(),
+            window_days: catalog.window_days(),
+            rows: catalog.len(),
+        };
+        let mut out = serde_json::to_string(&header).unwrap().into_bytes();
+        out.push(b'\n');
+        for row in catalog.iter() {
+            serde_json::to_writer(&mut out, &CatalogRowWire::from_entry(row, catalog)).unwrap();
+            out.push(b'\n');
+        }
+        out
+    }
+
+    /// APN strings the writer must escape exactly as `serde_json` does,
+    /// plus plain ones the scanner reads without falling back.
+    const ORACLE_APNS: [&str; 12] = [
+        "internet.albion.gb",
+        "smhp.centricaplc.com.mnc004.mcc204.gprs",
+        "",
+        "unicode-\u{e9}-\u{2713}",
+        "del\u{7f}",
+        "quote\"d",
+        "back\\slash",
+        "tab\there",
+        "nl\nand\rcr",
+        "ctl\u{1}\u{1f}",
+        "bs\u{8}ff\u{c}",
+        "\u{0}",
+    ];
+
+    /// Mobility parts covering the float rule's branches: integral
+    /// (`{:.1}`), `-0.0`, the 1e16 switch to `Display`, non-integral,
+    /// subnormal and huge values, and the non-finite `null`s.
+    const ORACLE_FLOATS: [f64; 17] = [
+        0.0,
+        -0.0,
+        1.0,
+        -3.0,
+        -4_503_599_627_370_497.0,
+        9_999_999_999_999_998.0,
+        1e16,
+        -1e16,
+        1e300,
+        0.1,
+        154.5,
+        -0.123_456_789_012_345_67,
+        5e-324,
+        f64::MAX,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    /// SplitMix stream for the oracle catalogs.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = wtr_model::hash::mix64(self.0);
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// 0, `u64::MAX` or a random magnitude.
+        fn counter(&mut self) -> u64 {
+            match self.below(3) {
+                0 => 0,
+                1 => u64::MAX,
+                _ => self.next() >> self.below(64),
+            }
+        }
+
+        /// A mobility part: a table value or random bits, finite only if
+        /// `finite`.
+        fn part(&mut self, finite: bool) -> f64 {
+            loop {
+                let f = match self.below(3) {
+                    0 => f64::from_bits(self.next()),
+                    _ => ORACLE_FLOATS[self.below(ORACLE_FLOATS.len() as u64) as usize],
+                };
+                if !finite || f.is_finite() {
+                    return f;
+                }
+            }
+        }
+    }
+
+    /// A random catalog from `seed`: APNs interned in a shuffled
+    /// (non-canonical) order, `u64::MAX` counters, empty and full sets.
+    fn oracle_catalog(seed: u64, rows: usize) -> DevicesCatalog {
+        use wtr_model::ids::{Mcc, Mnc};
+        use wtr_model::rat::RatSet;
+        let mut d = Draw(seed);
+        let mut cat = DevicesCatalog::new(1 + d.below(3_660) as u32);
+        let start = d.next() as usize;
+        let apns: Vec<ApnSym> = (0..ORACLE_APNS.len())
+            .map(|k| cat.intern_apn(ORACLE_APNS[(start + k * 5) % ORACLE_APNS.len()]))
+            .collect();
+        let plmns = [
+            Plmn::of(234, 30),
+            Plmn::of(204, 4),
+            Plmn::new(Mcc::new(310).unwrap(), Mnc::new3(410).unwrap()),
+        ];
+        let origins = [
+            SimOrigin::Home,
+            SimOrigin::Virtual,
+            SimOrigin::National,
+            SimOrigin::International,
+        ];
+        for _ in 0..rows {
+            let label = RoamingLabel {
+                sim: origins[d.below(4) as usize],
+                presence: [Presence::Home, Presence::Abroad][d.below(2) as usize],
+            };
+            let mut entry = CatalogEntry {
+                user: d.counter(),
+                day: Day(d.below(3_660) as u32),
+                sim_plmn: plmns[d.below(3) as usize],
+                tac: Tac::new(d.below(100_000_000) as u32).unwrap(),
+                label,
+                events: d.counter(),
+                failed_events: d.counter(),
+                calls: d.counter(),
+                sms: d.counter(),
+                call_secs: d.counter(),
+                data_sessions: d.counter(),
+                bytes_up: d.counter(),
+                bytes_down: d.counter(),
+                visited: BTreeSet::new(),
+                apns: BTreeSet::new(),
+                radio_flags: RadioFlags {
+                    any: RatSet::from_bits(d.below(16) as u8),
+                    data: RatSet::from_bits(d.below(16) as u8),
+                    voice: RatSet::from_bits(d.below(16) as u8),
+                },
+                sector_set: BTreeSet::new(),
+                hourly: [0; 24],
+                in_designated_range: d.below(2) == 0,
+                in_published_m2m_range: d.below(2) == 0,
+                mobility: MobilityAccum::default(),
+            };
+            for _ in 0..d.below(4) {
+                entry.visited.insert(d.counter() as u32);
+                entry.apns.insert(apns[d.below(apns.len() as u64) as usize]);
+                entry.sector_set.insert(d.counter());
+            }
+            for slot in entry.hourly.iter_mut() {
+                *slot = d.counter() as u32;
+            }
+            let finite = d.below(3) != 0;
+            entry.mobility = MobilityAccum::from_parts(std::array::from_fn(|_| d.part(finite)));
+            // A repeated (user, day) would add `u64::MAX` counters.
+            if cat.get(entry.user, entry.day).is_none() {
+                cat.insert_entry(entry);
+            }
+        }
+        cat
+    }
+
+    proptest::proptest! {
+        /// The direct writer emits the serde serialization byte for byte;
+        /// rows whose APNs need no escape take the scanner's fast path,
+        /// and every finite catalog reads back to the same bytes.
+        #[test]
+        fn write_catalog_matches_serde_oracle(seed in proptest::any::<u64>(), rows in 0usize..40) {
+            let cat = oracle_catalog(seed, rows);
+            let mut direct = Vec::new();
+            write_catalog(&mut direct, &cat).unwrap();
+            let oracle = write_catalog_serde(&cat);
+            proptest::prop_assert_eq!(
+                String::from_utf8_lossy(&direct),
+                String::from_utf8_lossy(&oracle)
+            );
+            let text = std::str::from_utf8(&direct).unwrap();
+            let mut all_finite = true;
+            for (line, row) in text.lines().skip(1).zip(cat.iter()) {
+                let plain = row.apns.iter().all(|&sym| {
+                    !cat.apn_str(sym).bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20)
+                });
+                let fast = CatalogRowWire::fast_parse(line);
+                proptest::prop_assert!(fast.is_some() == plain, "fast path {} on {line}", !plain);
+                let finite = row.mobility.to_parts().iter().all(|f| f.is_finite());
+                all_finite &= finite;
+                if let (Some(fast), true) = (fast, finite) {
+                    let slow: CatalogRowWire = serde_json::from_str(line).unwrap();
+                    proptest::prop_assert_eq!(fast, slow);
+                }
+            }
+            if all_finite {
+                let mut again = Vec::new();
+                write_catalog(&mut again, &read_catalog(&direct[..]).unwrap()).unwrap();
+                proptest::prop_assert_eq!(again, direct);
+            }
+        }
     }
 
     #[test]

@@ -13,13 +13,15 @@
 //! * foreign SIM attached to a foreign network → invisible.
 //!
 //! Every visible event is folded into the daily devices-catalog on the
-//! fly; raw records can optionally be retained for tests and small runs.
+//! fly, through one open row per device (see [`MnoProbe::catalog`]); raw
+//! records can optionally be retained for tests and small runs.
 
-use crate::catalog::DevicesCatalog;
+use crate::catalog::{CatalogEntry, DevicesCatalog};
 use crate::records::{Cdr, CdrKind, RadioEventRecord, Xdr};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::{Entry, HashMap};
 use wtr_model::hash::{anonymize_u64, AnonKey};
-use wtr_model::ids::{ImsiRange, Plmn};
+use wtr_model::ids::{ImsiRange, Plmn, Tac};
 use wtr_model::operators::OperatorRegistry;
 use wtr_model::roaming::{Presence, RoamingLabel};
 use wtr_model::time::Day;
@@ -58,6 +60,73 @@ impl ElementLoad {
     }
 }
 
+/// The probe's devices-catalog plus one open row per device.
+///
+/// Events of one device arrive day by day, so the row an event folds
+/// into is almost always the device's current one. That row is held
+/// *outside* the catalog's `BTreeMap`, in a user-keyed hash map, and goes
+/// back into the catalog only when the device's day advances or when
+/// someone reads the catalog ([`CatalogFold::flush`]). The catalog never
+/// holds a row that is open.
+///
+/// The fold is the same as one [`DevicesCatalog::row_mut`] per event, for
+/// any event order: opening a row takes the existing (user, day) row out
+/// of the catalog ([`DevicesCatalog::take_row`]) rather than starting an
+/// empty one, and an event for a day *earlier* than the open row goes
+/// straight to `row_mut`. First-touch identity fields and the order of
+/// the f64 mobility additions are therefore those of the per-event fold.
+#[derive(Debug, Clone)]
+struct CatalogFold {
+    catalog: DevicesCatalog,
+    open: HashMap<u64, CatalogEntry>,
+}
+
+impl CatalogFold {
+    fn new(window_days: u32) -> Self {
+        CatalogFold {
+            catalog: DevicesCatalog::new(window_days),
+            open: HashMap::new(),
+        }
+    }
+
+    /// The row an event of `user` on `day` folds into; identity fields
+    /// are set on first touch, as in [`DevicesCatalog::row_mut`].
+    fn row(
+        &mut self,
+        user: u64,
+        day: Day,
+        sim_plmn: Plmn,
+        tac: Tac,
+        label: RoamingLabel,
+    ) -> &mut CatalogEntry {
+        match self.open.entry(user) {
+            Entry::Occupied(slot) => {
+                let open_day = slot.get().day;
+                if day < open_day {
+                    return self.catalog.row_mut(user, day, sim_plmn, tac, label);
+                }
+                let slot = slot.into_mut();
+                if day > open_day {
+                    let next = self.catalog.take_row(user, day, sim_plmn, tac, label);
+                    self.catalog.insert_entry(std::mem::replace(slot, next));
+                }
+                slot
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(self.catalog.take_row(user, day, sim_plmn, tac, label))
+            }
+        }
+    }
+
+    /// Closes every open row into the catalog and returns it.
+    fn flush(&mut self) -> &mut DevicesCatalog {
+        for (_, entry) in self.open.drain() {
+            self.catalog.insert_entry(entry);
+        }
+        &mut self.catalog
+    }
+}
+
 /// The studied MNO's passive measurement pipeline.
 ///
 /// # Memory contract
@@ -71,7 +140,8 @@ impl ElementLoad {
 /// without bound; it exists for tests and small exploratory runs only
 /// and **must stay off on every production / scenario path** (the
 /// default constructor leaves it off, and nothing in `wtr-scenarios`
-/// or the CLI enables it).
+/// or the CLI enables it). Open rows add one [`CatalogEntry`] per
+/// device seen since the last flush (see [`MnoProbe::catalog`]).
 #[derive(Debug, Clone)]
 pub struct MnoProbe {
     studied: Plmn,
@@ -79,8 +149,8 @@ pub struct MnoProbe {
     /// The studied network (to resolve sector positions for mobility).
     home_network: RadioNetwork,
     key: AnonKey,
-    /// The daily devices-catalog built so far.
-    pub catalog: DevicesCatalog,
+    /// The daily devices-catalog built so far, with its open rows.
+    fold: CatalogFold,
     /// Raw radio records. **Empty unless [`MnoProbe::retain_raw`] was
     /// called** — the default path drops raw records after folding them
     /// into the catalog, keeping the probe's memory independent of the
@@ -114,7 +184,7 @@ impl MnoProbe {
             registry,
             home_network,
             key,
-            catalog: DevicesCatalog::new(window_days),
+            fold: CatalogFold::new(window_days),
             raw_radio: Vec::new(),
             raw_cdrs: Vec::new(),
             raw_xdrs: Vec::new(),
@@ -181,9 +251,23 @@ impl MnoProbe {
         self.xdr_count
     }
 
-    /// Consumes the probe, returning the catalog.
-    pub fn into_catalog(self) -> DevicesCatalog {
-        self.catalog
+    /// The daily devices-catalog built so far.
+    ///
+    /// Each device's current row is folded outside the catalog while its
+    /// events arrive and goes into the catalog when the device's day
+    /// advances. This accessor closes every open row first, which is why
+    /// it takes `&mut self`; so do [`MnoProbe::absorb`],
+    /// [`MnoProbe::canonicalize`] and [`MnoProbe::into_catalog`]. Events
+    /// folded after a read reopen their rows where they left off, so the
+    /// catalog is the same however often it is read.
+    pub fn catalog(&mut self) -> &DevicesCatalog {
+        self.fold.flush()
+    }
+
+    /// Consumes the probe, returning the catalog (open rows closed).
+    pub fn into_catalog(mut self) -> DevicesCatalog {
+        self.fold.flush();
+        self.fold.catalog
     }
 
     /// Per-day load on the monitored elements (index = day).
@@ -205,13 +289,13 @@ impl MnoProbe {
     /// shard-local probe of the sharded scenario runners (each shard
     /// taps its own event loop with a fork of the configured probe).
     pub fn fork_empty(&self) -> MnoProbe {
-        let window_days = self.catalog.window_days();
+        let window_days = self.fold.catalog.window_days();
         MnoProbe {
             studied: self.studied,
             registry: self.registry.clone(),
             home_network: self.home_network.clone(),
             key: self.key,
-            catalog: DevicesCatalog::new(window_days),
+            fold: CatalogFold::new(window_days),
             raw_radio: Vec::new(),
             raw_cdrs: Vec::new(),
             raw_xdrs: Vec::new(),
@@ -238,9 +322,11 @@ impl MnoProbe {
     /// are concatenated — is erased by [`MnoProbe::canonicalize`]
     /// afterwards. Property-tested in `tests/shard_determinism.rs`:
     /// absorbing arbitrarily partitioned shard probes reproduces the
-    /// single-probe serial fold exactly.
-    pub fn absorb(&mut self, other: MnoProbe) {
-        let apn_remap = self.catalog.merge(other.catalog);
+    /// single-probe serial fold exactly. Both probes' open rows are
+    /// closed before the catalogs merge.
+    pub fn absorb(&mut self, mut other: MnoProbe) {
+        other.fold.flush();
+        let apn_remap = self.fold.flush().merge(other.fold.catalog);
         self.raw_radio.extend(other.raw_radio);
         self.raw_cdrs.extend(other.raw_cdrs);
         self.raw_xdrs
@@ -264,7 +350,7 @@ impl MnoProbe {
     /// common fixpoint both converge to, making probe state comparable
     /// — and byte-identical once serialized — across shard counts.
     pub fn canonicalize(&mut self) {
-        let remap = self.catalog.canonicalize();
+        let remap = self.fold.flush().canonicalize();
         for x in &mut self.raw_xdrs {
             x.apn = remap[x.apn.index()];
         }
@@ -342,7 +428,7 @@ impl EventSink for MnoProbe {
                     .published_m2m_ranges
                     .iter()
                     .any(|r| r.contains(sig.imsi));
-                let row = self.catalog.row_mut(user, day, sig.imsi.plmn(), tac, label);
+                let row = self.fold.row(user, day, sig.imsi.plmn(), tac, label);
                 row.in_designated_range |= designated;
                 row.in_published_m2m_range |= published;
                 row.hourly[sig.time.hour_of_day() as usize] += 1;
@@ -386,7 +472,7 @@ impl EventSink for MnoProbe {
                 }
                 let designated = self.designated_ranges.iter().any(|r| r.contains(v.imsi));
                 let published = self.published_m2m_ranges.iter().any(|r| r.contains(v.imsi));
-                let row = self.catalog.row_mut(user, day, v.imsi.plmn(), tac, label);
+                let row = self.fold.row(user, day, v.imsi.plmn(), tac, label);
                 row.in_designated_range |= designated;
                 row.in_published_m2m_range |= published;
                 row.hourly[v.time.hour_of_day() as usize] += 1;
@@ -437,8 +523,8 @@ impl EventSink for MnoProbe {
                 }
                 let designated = self.designated_ranges.iter().any(|r| r.contains(d.imsi));
                 let published = self.published_m2m_ranges.iter().any(|r| r.contains(d.imsi));
-                let apn_sym = self.catalog.intern_apn(&d.apn.full());
-                let row = self.catalog.row_mut(user, day, d.imsi.plmn(), tac, label);
+                let apn_sym = self.fold.catalog.intern_apn(&d.apn.full());
+                let row = self.fold.row(user, day, d.imsi.plmn(), tac, label);
                 row.in_designated_range |= designated;
                 row.in_published_m2m_range |= published;
                 row.hourly[d.time.hour_of_day() as usize] += 1;
@@ -561,15 +647,16 @@ mod tests {
         p.on_event(&data_event(imsi, MNO));
         assert_eq!(p.radio_event_count(), 1);
         assert_eq!(p.xdr_count(), 1);
-        assert_eq!(p.catalog.len(), 1);
-        let row = p.catalog.iter().next().unwrap();
+        let catalog = p.catalog();
+        assert_eq!(catalog.len(), 1);
+        let row = catalog.iter().next().unwrap();
         assert_eq!(row.label, RoamingLabel::IH);
         assert_eq!(row.events, 1);
         assert_eq!(row.data_sessions, 1);
         assert!(row
             .apns
             .iter()
-            .any(|&a| p.catalog.apn_str(a).contains("centricaplc")));
+            .any(|&a| catalog.apn_str(a).contains("centricaplc")));
         assert!(row.radio_flags.data.contains(Rat::G2));
         assert_eq!(row.sectors(), 1);
         assert!(row.mobility.gyration_km().unwrap() < 1e-6);
@@ -581,7 +668,7 @@ mod tests {
         let imsi = Imsi::new(NL, 1).unwrap();
         p.on_event(&sig_event(imsi, ES, true));
         p.on_event(&data_event(imsi, ES));
-        assert!(p.catalog.is_empty());
+        assert!(p.catalog().is_empty());
         assert_eq!(p.radio_event_count(), 0);
         assert_eq!(p.xdr_count(), 0);
     }
@@ -596,7 +683,7 @@ mod tests {
         // Data abroad: visible via clearing.
         p.on_event(&data_event(imsi, ES));
         assert_eq!(p.xdr_count(), 1);
-        let row = p.catalog.iter().next().unwrap();
+        let row = p.catalog().iter().next().unwrap();
         assert_eq!(row.label, RoamingLabel::HA);
         assert_eq!(row.events, 0, "no radio events for outbound roamers");
         assert_eq!(row.sectors(), 0, "no sector visibility abroad");
@@ -607,7 +694,7 @@ mod tests {
         let mut p = probe();
         let imsi = Imsi::new(NL, 9).unwrap();
         p.on_event(&sig_event(imsi, MNO, false));
-        let row = p.catalog.iter().next().unwrap();
+        let row = p.catalog().iter().next().unwrap();
         assert_eq!(row.failed_events, 1);
         assert!(row.radio_flags.any.is_empty(), "failed events set no flags");
     }
@@ -627,7 +714,7 @@ mod tests {
             kind: VoiceKind::Call,
             duration_secs: 90,
         }));
-        let row = p.catalog.iter().next().unwrap();
+        let row = p.catalog().iter().next().unwrap();
         assert_eq!(row.calls, 1);
         assert_eq!(row.call_secs, 90);
         assert!(row.radio_flags.voice.contains(Rat::G2));
@@ -640,7 +727,7 @@ mod tests {
         let mut p = probe();
         let imsi = Imsi::new(Plmn::of(234, 31), 3).unwrap();
         p.on_event(&sig_event(imsi, MNO, true));
-        let row = p.catalog.iter().next().unwrap();
+        let row = p.catalog().iter().next().unwrap();
         assert_eq!(row.label, RoamingLabel::VH);
     }
 
@@ -657,7 +744,7 @@ mod tests {
         p.on_event(&sig_event(imsi, MNO, true));
         p.on_event(&data_event(imsi, MNO));
         assert!(p.raw_radio.is_empty() && p.raw_xdrs.is_empty());
-        assert_eq!(p.catalog.len(), 1, "catalog still built");
+        assert_eq!(p.catalog().len(), 1, "catalog still built");
     }
 
     #[test]
@@ -670,7 +757,7 @@ mod tests {
             s.time = SimTime::from_day_and_secs(1, 10);
         }
         p.on_event(&e);
-        assert_eq!(p.catalog.len(), 2);
-        assert_eq!(p.catalog.device_count(), 1);
+        assert_eq!(p.catalog().len(), 2);
+        assert_eq!(p.catalog().device_count(), 1);
     }
 }

@@ -187,7 +187,9 @@ impl DeviceSpec {
 /// The executable agent for one device.
 #[derive(Debug, Clone)]
 pub struct DeviceAgent {
-    spec: DeviceSpec,
+    /// Immutable once built; shared so a wake can hold its itinerary leg
+    /// while the step mutates the agent.
+    spec: Arc<DeviceSpec>,
     /// The compiled behavior matrix driving the agent. Shared: every
     /// device of a class steps the same matrix.
     behavior: Arc<BehaviorMatrix>,
@@ -236,7 +238,7 @@ impl DeviceAgent {
         let multiplier = matrix.draw_multiplier(&mut rng);
         let sticky_breadth = matrix.draw_sticky_breadth(&mut rng);
         Ok(DeviceAgent {
-            spec,
+            spec: Arc::new(spec),
             behavior: matrix,
             rng,
             multiplier,
@@ -514,10 +516,11 @@ impl<S: EventSink> Agent<RoamingWorld<S>> for DeviceAgent {
         }
         let now = sched.now();
         let day = now.day();
-        let leg = self.spec.leg_at(day).clone();
+        let spec = Arc::clone(&self.spec);
+        let leg = spec.leg_at(day);
         let pos = leg.mobility.position(now);
         let ctx = StepCtx {
-            present: self.spec.presence.present_on(day),
+            present: spec.presence.present_on(day),
             multiplier: self.multiplier,
         };
         let (next, emission, serving) = {
